@@ -5,9 +5,7 @@
 //! figure bench first regenerates its artifact and asserts the paper-shape
 //! invariants, then measures the code that produces it.
 //!
-//! [`json`] is the shared machine-readable output writer for bench
-//! binaries; it is std-only so workspace binaries can `#[path]`-include it
-//! without depending on this (workspace-excluded, criterion-carrying)
-//! crate.
+//! [`json`] is the shared machine-readable output writer, re-exported
+//! from `aru-metrics`.
 
-pub mod json;
+pub use aru_metrics::json;

@@ -6,6 +6,7 @@ use desim::{
     TaskSpec,
 };
 use aru_core::AruConfig;
+use aru_metrics::journal::{attribute_pace, HopLeg, JournalKind};
 use vtime::Micros;
 
 /// src(10ms) → C → sink(50ms), single node, no noise.
@@ -320,5 +321,34 @@ fn gc_none_vs_dgc_footprint() {
     assert!(
         dgc < none / 5.0,
         "DGC footprint {dgc:.0} should be far below no-GC {none:.0}"
+    );
+}
+
+#[test]
+fn sim_journal_attributes_pace_to_the_fold_leg_alone() {
+    // Sim and threaded journals share one schema (DESIGN.md §16), but the
+    // sim folds a channel's summary straight into the producer: its
+    // journals carry the Fold leg only, never Return or Deposit.
+    let r = linear(AruConfig::aru_min(), 1, 0.2);
+    let records = r.telemetry.journal.snapshot().records;
+    assert!(
+        !records.iter().any(|r| matches!(
+            r.kind,
+            JournalKind::Hop {
+                leg: HopLeg::Deposit | HopLeg::Return,
+                ..
+            }
+        )),
+        "sim journaled a Deposit or Return leg"
+    );
+    let chains: Vec<_> = (0..records.len())
+        .filter(|&i| matches!(records[i].kind, JournalKind::Pace { .. }))
+        .map(|i| attribute_pace(&records, i))
+        .collect();
+    assert!(chains.len() > 1, "paced run journaled {} decisions", chains.len());
+    assert!(chains.iter().all(|c| c.ret.is_none() && c.deposit.is_none()));
+    assert!(
+        chains.iter().any(|c| c.fold.is_some()),
+        "no sim pace decision attributed to a Fold leg"
     );
 }

@@ -39,12 +39,9 @@
 //! jitter best-of-3 throughput by tens of percent. Exits non-zero iff a
 //! check fails.
 
-#[path = "../../../bench/src/json.rs"]
-mod json;
-
+use aru_metrics::json::{find_number_after, pretty, Fixed, JsonArr, JsonObj};
 use desim::{EventQueue, EventQueueKind, QueueOp, Sim};
 use experiments::scale;
-use json::{find_number_after, pretty, Fixed, JsonArr, JsonObj};
 use std::path::PathBuf;
 use std::time::Instant;
 use vtime::Micros;

@@ -55,14 +55,11 @@
 //! be within `--max-regress` (default 0.35 = +35%) of the baseline file.
 //! Exits non-zero iff a check fails.
 
-#[path = "../../../bench/src/json.rs"]
-mod json;
-
 use aru_core::graph::NodeId;
 use aru_core::{AruConfig, Stp};
 use aru_gc::GcMode;
+use aru_metrics::json::{find_number_after, pretty, Fixed, JsonArr, JsonObj};
 use aru_metrics::{CoarseTrace, ItemId, IterKey, SharedTrace, Trace, TraceEvent};
-use json::{find_number_after, pretty, Fixed, JsonArr, JsonObj};
 use stampede::{bench_api, Channel, FanOut, LfQueue, Queue, TaskCtx};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

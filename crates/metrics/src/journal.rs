@@ -14,12 +14,16 @@
 //! record through this one schema, so a simulated 1000-node sweep and a
 //! real run produce comparable journals for `repro doctor`.
 //!
+//! The journal is the only recorder of feedback hops and pace decisions:
+//! [`attribute_pace`] walks a `pace` record back through the hop legs that
+//! carried its summary, for the doctor and for tests alike.
+//!
 //! # Recording discipline
 //!
-//! Same sharding as the trace and the span recorder: each writer owns a
-//! [`JournalShard`] and is its only writer, so recording is stores into
-//! writer-private cells — no lock, no CAS loop. A slot is a version word
-//! plus six payload words, all `AtomicU64` from the [`crate::sync`] shim
+//! Same sharding as the trace: each writer owns a [`JournalShard`] and is
+//! its only writer, so recording is stores into writer-private cells — no
+//! lock, no CAS loop. A slot is a version word plus six payload words,
+//! all `AtomicU64` from the [`crate::sync`] shim
 //! (loom-checkable). The writer bumps the version to odd, stores the
 //! payload, bumps to even; the snapshotting reader retries a bounded
 //! number of times per slot and counts (never returns) torn reads. Rings
@@ -53,7 +57,14 @@ const MAX_READ_RETRIES: usize = 8;
 pub const DEFAULT_OCC_WATERMARK: u64 = 1024;
 
 /// Which leg of the backward summary propagation a [`JournalKind::Hop`]
-/// records — the persisted mirror of [`crate::spans::HopKind`].
+/// records. A summary value travels consumer → buffer → producer:
+///
+/// 1. `Deposit` — a consumer's `get` deposits its summary at the buffer
+///    (`node` = buffer, `peer` = consumer thread);
+/// 2. `Return` — a producer's `put` receives the buffer's summary
+///    (`node` = buffer, `peer` = producer thread);
+/// 3. `Fold` — the producer folds that value into its controller
+///    (`node` = producer thread, `peer` = buffer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopLeg {
     Deposit,
@@ -132,8 +143,8 @@ pub enum JournalKind {
         clamped: bool,
     },
     /// One leg of summary-STP propagation (`node` is where the hop was
-    /// observed, `peer` the other party — same convention as
-    /// [`crate::spans::FeedbackHop`]).
+    /// observed, `peer` the other party — see [`HopLeg`]). Writers record
+    /// a leg only when its value changed since their last one.
     Hop { leg: HopLeg, peer: NodeId, value: Micros },
     /// Buffer occupancy at a publish point; recorded when the length
     /// changed since the last publish or crossed the watermark.
@@ -573,6 +584,72 @@ pub struct LoadedJournal {
     /// Data lines that did not parse (0 for an intact snapshot; the loader
     /// tolerates them so a truncated foreign file still yields its prefix).
     pub skipped: u64,
+}
+
+/// A pace decision walked backwards through the journal's hop legs.
+/// Threaded journals carry all three legs; sim journals fold directly, so
+/// only the Fold leg exists there. All `None` when the walk found nothing
+/// (or did not start at a `pace` record).
+#[derive(Clone, Debug, Default)]
+pub struct PaceChain {
+    pub fold: Option<JournalRecord>,
+    pub ret: Option<JournalRecord>,
+    pub deposit: Option<JournalRecord>,
+}
+
+/// Attribute the `pace` record at `pace_idx` to the hops that fed it: the
+/// latest Fold on the pace's node, then the Return whose (node, peer,
+/// value) mirror that fold, then the Deposit that carried the same value
+/// into that buffer. Records must be time-sorted (what
+/// [`JournalSnapshot`] produces). A non-`pace` index yields an empty chain.
+#[must_use]
+pub fn attribute_pace(records: &[JournalRecord], pace_idx: usize) -> PaceChain {
+    let mut chain = PaceChain::default();
+    let Some(pace) = records.get(pace_idx) else {
+        return chain;
+    };
+    if !matches!(pace.kind, JournalKind::Pace { .. }) {
+        return chain;
+    }
+    let node = pace.node;
+    let before = || records[..pace_idx].iter().rev();
+    let Some((fold, buffer, value)) = before().find_map(|r| match r.kind {
+        JournalKind::Hop {
+            leg: HopLeg::Fold,
+            peer,
+            value,
+        } if r.node == node => Some((r, peer, value)),
+        _ => None,
+    }) else {
+        return chain;
+    };
+    chain.fold = Some(*fold);
+    // A Return at the same timestamp may sort after the fold (different
+    // shards), so scan by time, not index.
+    chain.ret = before()
+        .find(|r| {
+            r.t <= fold.t
+                && r.node == buffer
+                && r.kind
+                    == JournalKind::Hop {
+                        leg: HopLeg::Return,
+                        peer: node,
+                        value,
+                    }
+        })
+        .copied();
+    let Some(ret) = chain.ret else { return chain };
+    chain.deposit = before()
+        .find(|r| {
+            r.t <= ret.t
+                && r.node == buffer
+                && matches!(
+                    r.kind,
+                    JournalKind::Hop { leg: HopLeg::Deposit, value: v, .. } if v == value
+                )
+        })
+        .copied();
+    chain
 }
 
 // ---- flat-JSON line parsing (matched to this module's own writer; the

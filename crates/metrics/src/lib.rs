@@ -32,11 +32,11 @@
 //! Live telemetry (DESIGN.md §12) rides alongside the postmortem trace:
 //!
 //! * [`registry`] — lock-free sharded counters/gauges, [`hist`] —
-//!   log-bucketed mergeable histograms, [`spans`] — ring-buffered
-//!   feedback-loop hop recorder, [`export`] — Prometheus-text/JSONL
-//!   serialization. The bundle ([`Telemetry`]) is carried by
-//!   [`SharedTrace`], so every runtime component that can trace can also
-//!   meter.
+//!   log-bucketed mergeable histograms, [`journal`] — the flight recorder,
+//!   the one recorder of feedback hops and pace decisions (DESIGN.md §16),
+//!   [`export`] — Prometheus-text/JSONL serialization. The bundle
+//!   ([`Telemetry`]) is carried by [`SharedTrace`], so every runtime
+//!   component that can trace can also meter.
 
 pub mod channel_stats;
 pub mod event;
@@ -45,10 +45,6 @@ pub mod fault;
 pub mod footprint;
 pub mod hist;
 pub mod journal;
-// The std-only JSON writer shared with the bench binaries; included by
-// path because `crates/bench` is excluded from the workspace (its criterion
-// dev-dependency is registry-only — see that file's module docs).
-#[path = "../../bench/src/json.rs"]
 pub mod json;
 pub mod lineage;
 #[cfg(all(loom, test))]
@@ -56,7 +52,6 @@ mod loom_tests;
 pub mod perf;
 pub mod registry;
 pub mod report;
-pub mod spans;
 pub mod stability;
 pub mod sync;
 pub mod thread_stats;
@@ -76,7 +71,6 @@ pub use journal::{
 pub use lineage::Lineage;
 pub use perf::PerfReport;
 pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Series, Telemetry};
-pub use spans::{FeedbackHop, HopKind, SpanRecorder, SpanShard, SpanSnapshot};
 pub use stability::{stability, StabilityReport, StabilitySpec};
 pub use thread_stats::{thread_stats, ThreadStats};
 pub use trace::{CoarseTrace, LocalTrace, SharedTrace, Trace};

@@ -426,7 +426,7 @@ struct TraceCore {
     /// Registry of every shard ever created for this trace, in
     /// registration order (= clone order; the merge tiebreak).
     shards: Mutex<Vec<Arc<Shard>>>,
-    /// Live-telemetry bundle (metrics registry + feedback-loop spans).
+    /// Live-telemetry bundle (metrics registry + flight-recorder journal).
     /// Carried here because the trace handle already reaches every
     /// channel, queue, and task context — telemetry rides along with zero
     /// constructor churn.

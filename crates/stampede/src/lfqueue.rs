@@ -59,10 +59,7 @@ use crate::tele::LfEndpointTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_gc::ConsumerMarks;
 use aru_metrics::journal::HopLeg;
-use aru_metrics::{
-    FeedbackHop, Gauge, HopKind, IterKey, Journal, JournalKind, JournalShard, SharedTrace,
-    SpanShard,
-};
+use aru_metrics::{Gauge, IterKey, Journal, JournalKind, JournalShard, SharedTrace};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,15 +101,14 @@ struct ConsumerSlot {
 }
 
 /// Control-plane state: reached only on summary change and by admin ops.
-/// The span/journal shards live here so the control mutex is the single
-/// writer they require — and recording stays off the lock-free hot path
+/// The journal shard lives here so the control mutex is the single
+/// writer it requires — and recording stays off the lock-free hot path
 /// by construction (only summary *changes* reach this struct at all).
 struct LfControl {
     aru: AruController,
     /// Seqlock generation (word 0 of the summary cell), bumped per write.
     generation: u64,
     consumers: usize,
-    spans: SpanShard,
     journal: JournalShard,
     last_deposit_hop: Option<Micros>,
     last_occ: Option<(u64, bool)>,
@@ -160,7 +156,6 @@ impl<T: ItemData> LfQueue<T> {
         let labels: &[(&str, &str)] = &[("channel", name.as_str()), ("kind", "lfqueue")];
         let occupancy_gauge = r.gauge("aru_channel_occupancy_items", labels);
         let live_bytes_gauge = r.gauge("aru_channel_live_bytes", labels);
-        let spans = tele.spans.shard();
         let journal = tele.journal.shard();
         let journal_cfg = tele.journal.clone();
         LfQueue {
@@ -181,7 +176,6 @@ impl<T: ItemData> LfQueue<T> {
                 aru: AruController::new(NodeKind::Queue, 0, false, config),
                 generation: 0,
                 consumers: 0,
-                spans,
                 journal,
                 last_deposit_hop: None,
                 last_occ: None,
@@ -553,22 +547,13 @@ impl<T: ItemData> LfQueue<T> {
         // Feedback-lineage recording (same change gate as the fold we just
         // did — we only get here when the deposited summary moved). This
         // closes the LF path's observability gap: the deposit hop lands in
-        // the span ring and flight-recorder journal exactly as the mutex
-        // buffers' `BufTele::on_deposit` does.
+        // the flight-recorder journal exactly as the mutex buffers'
+        // `BufTele::on_deposit` does.
         let value = summary.period();
         if c.last_deposit_hop != Some(value) {
             c.last_deposit_hop = Some(value);
-            let t = ctx.now();
-            c.spans.record(FeedbackHop {
-                t,
-                kind: HopKind::Deposit,
-                node: self.node,
-                peer: ctx.node(),
-                value,
-                extra: Micros::ZERO,
-            });
             c.journal.record(
-                t,
+                ctx.now(),
                 self.node,
                 JournalKind::Hop {
                     leg: HopLeg::Deposit,
@@ -716,10 +701,9 @@ pub struct LfQueueOutput<T: ItemData> {
     tele: LfEndpointTele,
     last_gen: Option<u64>,
     ops: u64,
-    // Per-endpoint recording shards: the producer endpoint is the single
+    // Per-endpoint journal shard: the producer endpoint is the single
     // writer, so the Return hop (queue summary handed back on put) can be
     // recorded without touching the queue's control mutex.
-    spans: SpanShard,
     journal: JournalShard,
     last_return: Option<Micros>,
 }
@@ -727,7 +711,6 @@ pub struct LfQueueOutput<T: ItemData> {
 impl<T: ItemData> LfQueueOutput<T> {
     pub(crate) fn new(q: Arc<LfQueue<T>>, thread_out_index: usize) -> Self {
         let tele = LfEndpointTele::output(q.telemetry(), q.name());
-        let spans = q.telemetry().spans.shard();
         let journal = q.telemetry().journal.shard();
         LfQueueOutput {
             q,
@@ -735,7 +718,6 @@ impl<T: ItemData> LfQueueOutput<T> {
             tele,
             last_gen: None,
             ops: 0,
-            spans,
             journal,
             last_return: None,
         }
@@ -784,17 +766,8 @@ impl<T: ItemData> LfQueueOutput<T> {
             let value = s.period();
             if self.last_return != Some(value) {
                 self.last_return = Some(value);
-                let t = ctx.now();
-                self.spans.record(FeedbackHop {
-                    t,
-                    kind: HopKind::Return,
-                    node: self.q.node(),
-                    peer: ctx.node(),
-                    value,
-                    extra: Micros::ZERO,
-                });
                 self.journal.record(
-                    t,
+                    ctx.now(),
                     self.q.node(),
                     JournalKind::Hop {
                         leg: HopLeg::Return,

@@ -135,14 +135,16 @@ mod tests {
             readers.push(std::thread::spawn(move || {
                 let mut coherent = 0u64;
                 loop {
+                    // Read before the attempt: once the writer has stopped
+                    // the version is stable, so the attempt made after
+                    // seeing `stop` must succeed — the counter can't be
+                    // zero however the threads were scheduled.
+                    let done = stop.load(std::sync::atomic::Ordering::SeqCst);
                     if let Some((g, v)) = c.try_read() {
                         assert_eq!(v, g * 3, "torn read: ({g}, {v})");
                         coherent += 1;
                     }
-                    // Checked after at least one read attempt: once the
-                    // writer stops, the version is stable and the final
-                    // try_read must succeed — the counter can't be zero.
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    if done {
                         break;
                     }
                 }
@@ -152,7 +154,7 @@ mod tests {
         for g in 1..50_000u64 {
             c.write(g, g * 3);
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
         for r in readers {
             assert!(r.join().unwrap() > 0, "reader never got a coherent pair");
         }

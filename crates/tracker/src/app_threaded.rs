@@ -336,6 +336,7 @@ mod tests {
     /// accuracy also validates the join plumbing.)
     #[test]
     fn threaded_tracker_end_to_end() {
+        let _serial = crate::wall_clock_test_guard();
         let params = ThreadedTrackerParams::new(AruConfig::aru_min());
         let tracker = build_threaded(&params).unwrap();
         let video = tracker.video.clone();
@@ -360,6 +361,7 @@ mod tests {
 
     #[test]
     fn threaded_tracker_aru_reduces_footprint() {
+        let _serial = crate::wall_clock_test_guard();
         let run = |aru: AruConfig| {
             let mut params = ThreadedTrackerParams::new(aru);
             // slow the detectors so the digitizer overruns without ARU
@@ -388,6 +390,7 @@ mod distributed_tests {
 
     #[test]
     fn distributed_tracker_pays_link_latency() {
+        let _serial = crate::wall_clock_test_guard();
         let run = |link: Option<LinkModel>| {
             let mut params = ThreadedTrackerParams::new(AruConfig::aru_min());
             if let Some(l) = link {

@@ -48,3 +48,14 @@ pub use graph::TrackerGraph;
 pub use model::ColorModel;
 pub use types::{Frame, HistModel, MotionMask, TargetLocation, FRAME_H, FRAME_W};
 pub use video::SyntheticVideo;
+
+/// Serializes the unit tests that run a threaded tracker for a wall-clock
+/// window. Each asserts on rates (digitizer overrun, outputs per window,
+/// link latency) that sibling trackers in the same test binary would
+/// otherwise compete for: on a 2-core runner two overlapping trackers
+/// starve each other's digitizers.
+#[cfg(test)]
+pub(crate) fn wall_clock_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
