@@ -105,7 +105,7 @@ fn extra(d: Micros) {
 pub fn build_queue_tracker(params: &QueueTrackerParams) -> Result<QueueTracker, BuildError> {
     assert!(params.capacity > 0, "queue capacity must be positive");
     let video = SyntheticVideo::two_person_scene(params.seed);
-    let background = Arc::new(video.background_frame());
+    let background = video.shared_background();
     let models = ColorModel::scene_models(&video);
     let detections: Arc<Mutex<Vec<TargetLocation>>> = Arc::new(Mutex::new(Vec::new()));
     let frames_produced = Arc::new(AtomicU64::new(0));

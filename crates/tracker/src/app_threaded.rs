@@ -173,7 +173,7 @@ fn extra(d: Micros) {
 /// runtime.
 pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker, BuildError> {
     let video = SyntheticVideo::two_person_scene(params.seed);
-    let background = Arc::new(video.background_frame());
+    let background = video.shared_background();
     let models = ColorModel::scene_models(&video);
     let detections: Arc<Mutex<Vec<TargetLocation>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -330,6 +330,7 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aru_metrics::TraceEvent;
 
     /// A short real run: frames flow end-to-end and detections land near
     /// ground truth. (The detection kernel joins on matching timestamps, so
@@ -359,24 +360,51 @@ mod tests {
         assert!(checked > 0, "no positive detections");
     }
 
+    /// ARU's footprint claim, judged over logical progress: both runs last
+    /// until the GUI has shown the same number of outputs, however long
+    /// that takes on a loaded machine. The claim's premise — without ARU
+    /// the digitizer overruns the slowed detectors — is counted from the
+    /// trace (digitizer iterations per detector iteration), not assumed.
     #[test]
     fn threaded_tracker_aru_reduces_footprint() {
         let _serial = crate::wall_clock_test_guard();
+        const OUTPUTS: usize = 12;
+        // (mean footprint in bytes, digitizer iterations per detector
+        // iteration)
         let run = |aru: AruConfig| {
             let mut params = ThreadedTrackerParams::new(aru);
-            // slow the detectors so the digitizer overruns without ARU
-            params.delays.target_detection = Micros::from_millis(40);
+            // Detection sleeps 300 ms per frame; rendering a frame takes
+            // a few ms of CPU (tens unoptimized), so an unpaced digitizer
+            // overruns it.
+            params.delays.target_detection = Micros::from_millis(300);
             let tracker = build_threaded(&params).unwrap();
-            tracker
-                .runtime
-                .run_for(Micros::from_millis(1500))
-                .unwrap()
-                .analyze()
+            let shown = || {
+                let dets = tracker.detections.lock();
+                dets.iter().filter(|d| d.model_id == 0).count()
+            };
+            let running = tracker.runtime.start();
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while shown() < OUTPUTS && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let report = running.stop().unwrap();
+            assert!(shown() >= OUTPUTS, "only {} outputs within 60 s", shown());
+            let iterations = |task: &str| {
+                let ends = report.trace.events().iter().filter(|e| {
+                    matches!(e, TraceEvent::IterEnd { iter, .. } if report.topo.name(iter.node) == task)
+                });
+                ends.count() as f64
+            };
+            let overrun = iterations("digitizer") / iterations("target-det-1");
+            (report.analyze().footprint.observed_summary().mean, overrun)
         };
-        let base = run(AruConfig::disabled());
-        let aru = run(AruConfig::aru_min());
-        let fp_base = base.footprint.observed_summary().mean;
-        let fp_aru = aru.footprint.observed_summary().mean;
+        let (fp_base, overrun_base) = run(AruConfig::disabled());
+        let (fp_aru, _) = run(AruConfig::aru_min());
+        assert!(
+            overrun_base >= 2.0,
+            "baseline digitizer ran {overrun_base:.1} iterations per detection, no overrun; \
+             the experiment says nothing"
+        );
         assert!(
             fp_aru < fp_base,
             "ARU footprint {fp_aru:.0} !< baseline {fp_base:.0}"

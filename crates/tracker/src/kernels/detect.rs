@@ -1,21 +1,44 @@
 //! Histogram back-projection target detection (the paper's Target
 //! Detection task — one instance per color model).
 //!
-//! For every foreground pixel the frame's histogram bin is weighted by the
-//! color model; an integral image over the weight map finds the window with
-//! the highest model mass; the weighted centroid inside that window is the
-//! reported location.
+//! Every foreground pixel is weighted by the color model's weight for its
+//! histogram bin; an integral image over the weight map finds the window
+//! with the highest model mass; the weighted centroid inside that window is
+//! the reported location.
+//!
+//! The window scan only reads the integral image on the 8-pixel grid, so
+//! the kernel keeps just those 48×80 entries and never builds the weight
+//! map. It still performs the floating-point additions of a full per-pixel
+//! integral image, in the same order, for every entry it keeps; the
+//! additions it skips all add `+0.0` (a background pixel's weight, or an
+//! empty row's prefix), which leaves any sum unchanged. The result is
+//! therefore identical for every color model, not only for models whose
+//! weights sum exactly (DESIGN.md §2.1).
 
 use crate::model::ColorModel;
-use crate::types::{Frame, HistModel, MotionMask, TargetLocation, FRAME_H, FRAME_W};
+use crate::types::{Frame, HistModel, MotionMask, TargetLocation, FRAME_H, FRAME_PIXELS, FRAME_W};
 
 /// Detection window half-size (matches the synthetic targets' scale).
 const WIN_HALF: usize = 32;
+/// Window side.
+const WIN: usize = 2 * WIN_HALF;
 /// Minimum back-projection mass for a positive detection.
 const MIN_SCORE: f32 = 0.5;
+/// Grid step of the window scan, in pixels (one mask cell: 8 bytes).
+const STEP: usize = 8;
+/// Grid columns `x = 0, 8, …, FRAME_W - 8`: every window edge the scan uses
+/// (`x + WIN < FRAME_W`).
+const GRID_W: usize = FRAME_W / STEP;
+/// Grid rows `y = 0, 8, …, FRAME_H - 8`.
+const GRID_H: usize = FRAME_H / STEP;
 
 /// Run detection for one color model on one frame's mask + histogram,
 /// sampling the joined video frame to report the detection's mean color.
+///
+/// # Panics
+///
+/// If the mask or the bin map is shorter than a frame, or a foreground
+/// pixel's bin is outside the model.
 #[must_use]
 pub fn detect_target(
     frame: &Frame,
@@ -27,43 +50,55 @@ pub fn detect_target(
     // (the detector takes the freshest model at or before its mask — the
     // color model evolves slowly).
     debug_assert_eq!(mask.frame_no, frame.frame_no, "frame join mismatch");
-    let _ = hist.frame_no;
-    // Back-project: weight map over foreground pixels.
-    let mut weights = vec![0.0f32; FRAME_W * FRAME_H];
-    for (p, w) in weights.iter_mut().enumerate() {
-        if mask.mask[p] != 0 {
-            *w = model.weight(hist.pixel_bins[p]);
+    let fg = &mask.mask[..FRAME_PIXELS];
+    let bins = &hist.pixel_bins[..FRAME_PIXELS];
+    let weight = |p: usize| f64::from(model.weight(bins[p]));
+    // integral[r][c]: the weight mass of the rectangle above row 8r and left
+    // of column 8c. Row by row, as a full integral image is built: the
+    // row's running prefix, read at each grid column, is added to the
+    // column's total.
+    let mut integral = [[0.0f64; GRID_W]; GRID_H];
+    let mut column = [0.0f64; GRID_W];
+    for y in 0..(GRID_H - 1) * STEP {
+        if y % STEP == 0 {
+            integral[y / STEP] = column;
         }
-    }
-    // Integral image.
-    let mut integral = vec![0.0f64; (FRAME_W + 1) * (FRAME_H + 1)];
-    for y in 0..FRAME_H {
+        let row_fg = &fg[y * FRAME_W..(y + 1) * FRAME_W];
+        let mut prefix = [0.0f64; GRID_W];
         let mut row = 0.0f64;
-        for x in 0..FRAME_W {
-            row += weights[y * FRAME_W + x] as f64;
-            integral[(y + 1) * (FRAME_W + 1) + (x + 1)] =
-                integral[y * (FRAME_W + 1) + (x + 1)] + row;
+        let mut any = false;
+        // The last cell only feeds column 640, which no window reads.
+        for (c, cell) in row_fg.chunks_exact(STEP).enumerate().take(GRID_W - 1) {
+            if u64::from_ne_bytes(cell.try_into().expect("8-byte cell")) != 0 {
+                any = true;
+                for (i, &m) in cell.iter().enumerate() {
+                    if m != 0 {
+                        row += weight(y * FRAME_W + c * STEP + i);
+                    }
+                }
+            }
+            prefix[c + 1] = row;
+        }
+        if any {
+            for (t, p) in column.iter_mut().zip(&prefix) {
+                *t += p;
+            }
         }
     }
-    let window_sum = |x0: usize, y0: usize, x1: usize, y1: usize| -> f64 {
-        let w = FRAME_W + 1;
-        integral[y1 * w + x1] - integral[y0 * w + x1] - integral[y1 * w + x0]
-            + integral[y0 * w + x0]
+    integral[GRID_H - 1] = column;
+    // Scan windows on the grid, then refine with the centroid.
+    let window_sum = |c0: usize, r0: usize| -> f64 {
+        let (c1, r1) = (c0 + WIN / STEP, r0 + WIN / STEP);
+        integral[r1][c1] - integral[r0][c1] - integral[r1][c0] + integral[r0][c0]
     };
-    // Scan windows on a coarse grid, then refine with the centroid.
-    let step = 8;
     let mut best = (0usize, 0usize, f64::MIN);
-    let mut y = 0;
-    while y + 2 * WIN_HALF < FRAME_H {
-        let mut x = 0;
-        while x + 2 * WIN_HALF < FRAME_W {
-            let s = window_sum(x, y, x + 2 * WIN_HALF, y + 2 * WIN_HALF);
+    for r in (0..GRID_H).take_while(|r| r * STEP + WIN < FRAME_H) {
+        for c in (0..GRID_W).take_while(|c| c * STEP + WIN < FRAME_W) {
+            let s = window_sum(c, r);
             if s > best.2 {
-                best = (x, y, s);
+                best = (c * STEP, r * STEP, s);
             }
-            x += step;
         }
-        y += step;
     }
     let (bx, by, score) = best;
     if score < MIN_SCORE as f64 {
@@ -72,9 +107,13 @@ pub fn detect_target(
     // Weighted centroid and mean frame color within the best window.
     let (mut sx, mut sy, mut sw, mut support) = (0.0f64, 0.0f64, 0.0f64, 0u32);
     let mut rgb_acc = [0.0f64; 3];
-    for y in by..(by + 2 * WIN_HALF).min(FRAME_H) {
-        for x in bx..(bx + 2 * WIN_HALF).min(FRAME_W) {
-            let w = weights[y * FRAME_W + x] as f64;
+    for y in by..(by + WIN).min(FRAME_H) {
+        for x in bx..(bx + WIN).min(FRAME_W) {
+            let p = y * FRAME_W + x;
+            if fg[p] == 0 {
+                continue;
+            }
+            let w = weight(p);
             if w > 0.0 {
                 sx += w * x as f64;
                 sy += w * y as f64;
@@ -97,12 +136,7 @@ pub fn detect_target(
         x: (sx / sw) as f32,
         y: (sy / sw) as f32,
         score: score as f32,
-        bbox: [
-            bx as f32,
-            by as f32,
-            (bx + 2 * WIN_HALF) as f32,
-            (by + 2 * WIN_HALF) as f32,
-        ],
+        bbox: [bx as f32, by as f32, (bx + WIN) as f32, (by + WIN) as f32],
         support,
         mean_rgb: [
             (rgb_acc[0] / support as f64) as f32,

@@ -4,20 +4,26 @@ use crate::types::{rgb_bin, Frame, HistModel, FRAME_PIXELS, HIST_BINS};
 
 /// Build the color-histogram model of a frame: the normalized 512-bin
 /// histogram and the per-pixel bin map the detector back-projects through.
+///
+/// Bins are counted as integers and normalized once; a count below 2²⁴
+/// converts to `f32` exactly, so each bin equals the one an `f32`
+/// accumulation of `1.0` per pixel gives.
+///
+/// # Panics
+///
+/// If `frame` is shorter than a full frame.
 #[must_use]
 pub fn build_histogram(frame: &Frame) -> HistModel {
-    let mut bins = vec![0.0f32; HIST_BINS];
+    let rgb = &frame.rgb[..3 * FRAME_PIXELS];
+    let mut counts = [0u32; HIST_BINS];
     let mut pixel_bins = vec![0u32; FRAME_PIXELS];
-    for (p, pb) in pixel_bins.iter_mut().enumerate() {
-        let i = 3 * p;
-        let bin = rgb_bin(frame.rgb[i], frame.rgb[i + 1], frame.rgb[i + 2]);
-        *pb = bin;
-        bins[bin as usize] += 1.0;
+    for (b, c) in pixel_bins.iter_mut().zip(rgb.chunks_exact(3)) {
+        let bin = rgb_bin(c[0], c[1], c[2]);
+        *b = bin;
+        counts[bin as usize] += 1;
     }
     let total = FRAME_PIXELS as f32;
-    for v in &mut bins {
-        *v /= total;
-    }
+    let bins = counts.iter().map(|&c| c as f32 / total).collect();
     HistModel {
         frame_no: frame.frame_no,
         bins,

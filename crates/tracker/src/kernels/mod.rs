@@ -6,6 +6,8 @@
 pub mod background;
 pub mod detect;
 pub mod histogram;
+#[cfg(test)]
+mod reference;
 
 pub use background::subtract_background;
 pub use detect::detect_target;

@@ -53,7 +53,8 @@ pub use video::SyntheticVideo;
 /// window. Each asserts on rates (digitizer overrun, outputs per window,
 /// link latency) that sibling trackers in the same test binary would
 /// otherwise compete for: on a 2-core runner two overlapping trackers
-/// starve each other's digitizers.
+/// starve each other's digitizers. CPU-bound tests that keep every core
+/// busy for long (the kernel differential test) take it too.
 #[cfg(test)]
 pub(crate) fn wall_clock_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -8,6 +8,8 @@
 //! truth.
 
 use crate::types::{Frame, FRAME_H, FRAME_PIXELS, FRAME_W};
+use std::fmt;
+use std::sync::Arc;
 
 /// A moving colored target ("person's shirt").
 #[derive(Debug, Clone, Copy)]
@@ -31,9 +33,9 @@ pub struct GroundTruth {
 }
 
 /// The synthetic video source.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SyntheticVideo {
-    seed: u64,
+    pub(crate) seed: u64,
     targets: Vec<Target>,
     /// Per-pixel noise amplitude (0 disables noise).
     pub noise_amp: u8,
@@ -41,6 +43,71 @@ pub struct SyntheticVideo {
     /// target is not painted while `from <= frame < to` (it walked out of
     /// the scene — exercises the tracker's not-found path).
     absences: Vec<Vec<(u64, u64)>>,
+    /// The static background, rendered once and shared by every clone of
+    /// this video and by the pipelines built on it.
+    background: Arc<Frame>,
+}
+
+impl fmt::Debug for SyntheticVideo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SyntheticVideo")
+            .field("seed", &self.seed)
+            .field("targets", &self.targets)
+            .field("noise_amp", &self.noise_amp)
+            .field("absences", &self.absences)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The digitizer's per-pixel noise generator: a 64-bit LCG, one step per
+/// pixel in row-major order.
+const LCG_A: u64 = 6364136223846793005;
+const LCG_C: u64 = 1442695040888963407;
+/// Four LCG steps at once: `s + 4 = A⁴·s + C·(A³ + A² + A + 1)`. Four
+/// interleaved streams advanced by this map yield exactly the one-step
+/// sequence while breaking its serial multiply chain.
+const LCG_A4: u64 = LCG_A
+    .wrapping_mul(LCG_A)
+    .wrapping_mul(LCG_A)
+    .wrapping_mul(LCG_A);
+const LCG_C4: u64 = LCG_C.wrapping_mul(
+    LCG_A
+        .wrapping_mul(LCG_A)
+        .wrapping_mul(LCG_A)
+        .wrapping_add(LCG_A.wrapping_mul(LCG_A))
+        .wrapping_add(LCG_A)
+        .wrapping_add(1),
+);
+
+/// `v % d` for `v < 2³¹` and odd `d ≥ 3` by multiply-shift, exact.
+///
+/// With `L = ⌈log₂ d⌉`, `k = 32 + L` and `M = ⌈2ᵏ / d⌉`, write
+/// `M·d = 2ᵏ + e` (`0 ≤ e < d`) and `v = q·d + r`. Then
+/// `v·M / 2ᵏ = q + (r + v·e / 2ᵏ) / d`, and `v·e < 2³¹·2ᴸ < 2ᵏ` keeps the
+/// bracket below `d`, so `⌊v·M / 2ᵏ⌋ = q`. `d` odd is not a power of two,
+/// so `2ᴸ⁻¹ < d` and `M ≤ 2³³`: `v·M < 2⁶⁴` never overflows.
+#[derive(Clone, Copy)]
+struct FastMod {
+    d: u64,
+    m: u64,
+    k: u32,
+}
+
+impl FastMod {
+    fn new(d: u64) -> Self {
+        debug_assert!(d >= 3 && d % 2 == 1 && d < 1 << 31);
+        let k = 32 + (64 - (d - 1).leading_zeros());
+        FastMod {
+            d,
+            m: (1u64 << k).div_ceil(d),
+            k,
+        }
+    }
+
+    #[inline]
+    fn rem(self, v: u64) -> u64 {
+        v - ((v * self.m) >> self.k) * self.d
+    }
 }
 
 impl SyntheticVideo {
@@ -71,6 +138,7 @@ impl SyntheticVideo {
             ],
             noise_amp: 12,
             absences: vec![Vec::new(), Vec::new()],
+            background: Arc::new(render_background()),
         }
     }
 
@@ -106,67 +174,32 @@ impl SyntheticVideo {
     pub fn ground_truth(&self, i: usize, frame_no: u64) -> GroundTruth {
         let t = &self.targets[i];
         let ft = frame_no as f64;
-        let cx = (FRAME_W as f64 / 2.0)
-            + (FRAME_W as f64 / 2.0 - 80.0) * (t.fx * ft + t.phase).sin();
+        let cx =
+            (FRAME_W as f64 / 2.0) + (FRAME_W as f64 / 2.0 - 80.0) * (t.fx * ft + t.phase).sin();
         let cy = (FRAME_H as f64 / 2.0)
             + (FRAME_H as f64 / 2.0 - 70.0) * (t.fy * ft + t.phase * 0.7).cos();
         GroundTruth { cx, cy }
-    }
-
-    /// The static background pixel at (x, y): a smooth two-tone gradient
-    /// with a checker texture (so background differencing has real work).
-    #[inline]
-    fn background_pixel(&self, x: usize, y: usize) -> (u8, u8, u8) {
-        let checker = if ((x >> 4) + (y >> 4)) & 1 == 0 { 18 } else { 0 };
-        let r = (40 + (x * 40 / FRAME_W) + checker) as u8;
-        let g = (60 + (y * 40 / FRAME_H) + checker) as u8;
-        let b = (90 + ((x + y) * 30 / (FRAME_W + FRAME_H)) + checker) as u8;
-        (r, g, b)
     }
 
     /// A clean background frame (what the Background task differencing
     /// model was trained on).
     #[must_use]
     pub fn background_frame(&self) -> Frame {
-        let mut rgb = vec![0u8; 3 * FRAME_PIXELS];
-        for y in 0..FRAME_H {
-            for x in 0..FRAME_W {
-                let (r, g, b) = self.background_pixel(x, y);
-                let i = 3 * (y * FRAME_W + x);
-                rgb[i] = r;
-                rgb[i + 1] = g;
-                rgb[i + 2] = b;
-            }
-        }
-        Frame { frame_no: u64::MAX, rgb }
+        Frame::clone(&self.background)
     }
 
-    /// Generate frame `frame_no`.
+    /// The video's one rendering of [`Self::background_frame`], shared.
+    pub(crate) fn shared_background(&self) -> Arc<Frame> {
+        Arc::clone(&self.background)
+    }
+
+    /// Generate frame `frame_no`: the background plus per-pixel noise, with
+    /// the visible targets painted over it.
     #[must_use]
     pub fn frame(&self, frame_no: u64) -> Frame {
-        let mut rgb = vec![0u8; 3 * FRAME_PIXELS];
-        // Background with cheap deterministic per-pixel noise.
-        let mut state = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(frame_no);
-        for y in 0..FRAME_H {
-            for x in 0..FRAME_W {
-                let (r, g, b) = self.background_pixel(x, y);
-                let i = 3 * (y * FRAME_W + x);
-                let n = if self.noise_amp > 0 {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((state >> 33) % (2 * self.noise_amp as u64 + 1)) as i16
-                        - self.noise_amp as i16
-                } else {
-                    0
-                };
-                rgb[i] = (r as i16 + n).clamp(0, 255) as u8;
-                rgb[i + 1] = (g as i16 + n).clamp(0, 255) as u8;
-                rgb[i + 2] = (b as i16 + n).clamp(0, 255) as u8;
-            }
+        let mut rgb = self.background.rgb.clone();
+        if self.noise_amp > 0 {
+            self.add_noise(&mut rgb, frame_no);
         }
         // Paint targets (unless absent from the scene).
         for (ti, t) in self.targets.iter().enumerate() {
@@ -191,11 +224,85 @@ impl SyntheticVideo {
         }
         Frame { frame_no, rgb }
     }
+
+    /// Add the frame's noise: pixel `p` (row-major) takes LCG state
+    /// `p + 1` from the start state `seed·0x9E37_79B9_7F4A_7C15 + frame_no`,
+    /// maps its high bits to `n ∈ [-noise_amp, noise_amp]` and adds `n` to
+    /// all three channels, clamped to `0..=255`.
+    fn add_noise(&self, rgb: &mut [u8], frame_no: u64) {
+        let amp = u64::from(self.noise_amp);
+        let modulus = FastMod::new(2 * amp + 1);
+        let mut s0 = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(frame_no);
+        // Stream j holds the state pixel 4g + j draws from.
+        let mut s = [0u64; 4];
+        for lane in &mut s {
+            s0 = s0.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+            *lane = s0;
+        }
+        // One row of per-byte noise, then an add-and-clamp pass over it.
+        let mut noise = [0i16; 3 * FRAME_W];
+        for row in rgb.chunks_exact_mut(3 * FRAME_W) {
+            for quad in noise.chunks_exact_mut(12) {
+                for (px, lane) in quad.chunks_exact_mut(3).zip(&mut s) {
+                    let n = (modulus.rem(*lane >> 33) as i16) - amp as i16;
+                    px.fill(n);
+                    *lane = lane.wrapping_mul(LCG_A4).wrapping_add(LCG_C4);
+                }
+            }
+            for (c, &n) in row.iter_mut().zip(&noise) {
+                *c = (i16::from(*c) + n).clamp(0, 255) as u8;
+            }
+        }
+    }
+}
+
+/// Render the static background: a smooth two-tone gradient with a
+/// 16-pixel checker texture (so background differencing has real work).
+/// In integer division, pixel (x, y) is
+/// `(40 + 40x/W + k, 60 + 40y/H + k, 90 + 30(x+y)/(W+H) + k)`, where the
+/// checker term `k` is 18 on cells with `x/16 + y/16` even and 0 otherwise.
+/// Computed one checker cell at a time: inside a cell only blue varies.
+fn render_background() -> Frame {
+    let mut rgb = vec![0u8; 3 * FRAME_PIXELS];
+    for (y, row) in rgb.chunks_exact_mut(3 * FRAME_W).enumerate() {
+        let g = 60 + y * 40 / FRAME_H;
+        for (cx, cell) in row.chunks_exact_mut(3 * 16).enumerate() {
+            let checker = if (cx + (y >> 4)) & 1 == 0 { 18 } else { 0 };
+            // x * 40 / FRAME_W == x >> 4 == cx inside the cell.
+            let r = (40 + cx + checker) as u8;
+            let g = (g + checker) as u8;
+            for (i, px) in cell.chunks_exact_mut(3).enumerate() {
+                let x = 16 * cx + i;
+                let b = (90 + (x + y) * 30 / (FRAME_W + FRAME_H) + checker) as u8;
+                px.copy_from_slice(&[r, g, b]);
+            }
+        }
+    }
+    Frame {
+        frame_no: u64::MAX,
+        rgb,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fast_mod_matches_remainder() {
+        for d in (3..=511u64).step_by(2) {
+            let m = FastMod::new(d);
+            let edges = (1..64).flat_map(|q| [q * d - 1, q * d, q * d + 1]);
+            let high = (0..64).map(|i| (1u64 << 31) - 1 - i);
+            let spread = (0..256u64).map(|i| i.wrapping_mul(LCG_A) >> 33);
+            for v in edges.chain(high).chain(spread) {
+                assert_eq!(m.rem(v), v % d, "{v} % {d}");
+            }
+        }
+    }
 
     #[test]
     fn frames_are_deterministic() {
